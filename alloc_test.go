@@ -84,64 +84,6 @@ func TestStepBlockZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFusedStepZeroAlloc gates the trace-fused replay shape — one
-// columnar block stepped through K heterogeneous warm machines back to
-// back — at zero heap allocations per block round. This is the steady
-// state of FuseSweep, fused Sweep groups, and stemsd's same-trace sets;
-// the set plumbing around it adds only an atomic counter per block, so
-// this loop is the entire per-block cost.
-func TestFusedStepZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are unreliable under the race detector")
-	}
-	spec, err := workload.ByName("DB2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt := trace.NewBlockTrace(spec.Generate(1, 150_000))
-	opt := sim.DefaultOptions()
-	opt.System = config.ScaledSystem()
-	small := opt
-	small.STeMS.RMOBEntries = 4096
-	machines := make([]*sim.Machine, 0, 4)
-	for _, p := range []struct {
-		kind sim.Kind
-		opt  sim.Options
-	}{
-		{sim.KindStride, opt},
-		{sim.KindSMS, opt},
-		{sim.KindSTeMS, opt},
-		{sim.KindSTeMS, small},
-	} {
-		m, err := sim.Build(p.kind, p.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		machines = append(machines, m)
-	}
-	blocks := make([]*trace.Block, bt.NumBlocks())
-	for i := range blocks {
-		blocks[i] = bt.BlockAt(i)
-	}
-	// Warm every lane to its high-water mark with one full replay.
-	for _, b := range blocks {
-		for _, m := range machines {
-			m.StepBlock(b)
-		}
-	}
-	cur := 0
-	avg := testing.AllocsPerRun(50, func() {
-		b := blocks[cur%len(blocks)]
-		for _, m := range machines {
-			m.StepBlock(b)
-		}
-		cur++
-	})
-	if avg != 0 {
-		t.Fatalf("fused replay allocated %.3f objects per steady-state block round, want 0", avg)
-	}
-}
-
 // TestLRUMapZeroAlloc asserts that lru.Map Get/Put perform no allocations
 // once the table is at capacity — the mix includes hits (recency refresh),
 // misses, and inserts that force LRU eviction.

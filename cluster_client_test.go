@@ -190,12 +190,12 @@ func TestClusterSweepFasterAndByteIdentical(t *testing.T) {
 	}
 }
 
-// TestClusterSweepFoldsPerPeer: a routed sweep whose per-peer groups
-// share a trace must execute as one fused lockstep set on each peer —
-// observable in every peer's /metrics lockstep counters — while staying
-// byte-identical to direct in-process runs. Ownership is per run
-// content address, so the test searches for trace cells whose predictor
-// variants co-locate rather than assuming they do.
+// TestClusterSweepFoldsPerPeer: a routed sweep folds each peer's runs
+// into one job on that peer — observable in every peer's /metrics job
+// and run counters — while staying byte-identical to direct in-process
+// runs. Ownership is per run content address, so the test searches for
+// trace cells whose predictor variants co-locate rather than assuming
+// they do.
 func TestClusterSweepFoldsPerPeer(t *testing.T) {
 	const accesses = 10_000
 	preds := []string{"stride", "sms", "tms", "stems"}
@@ -215,8 +215,8 @@ func TestClusterSweepFoldsPerPeer(t *testing.T) {
 	}
 
 	// For each peer, find a seed where at least two predictor variants of
-	// the em3d trace are owned by that peer: those runs arrive in one job
-	// and must fold into one fused set over a single cursor.
+	// the em3d trace are owned by that peer: those runs must arrive in
+	// one job.
 	svcByURL := map[string]*service.Service{}
 	for i, u := range urls {
 		svcByURL[u] = svcs[i]
@@ -271,19 +271,15 @@ func TestClusterSweepFoldsPerPeer(t *testing.T) {
 		}
 	}
 
-	// Every peer folded its whole group into one fused set: the trace was
-	// traversed once per peer, not once per run.
+	// Every peer received its whole group as one job and computed each
+	// of its runs.
 	for _, peer := range cc.Peers() {
-		ls := svcByURL[peer].Metrics().Lockstep
-		want := groupSize[peer]
-		if ls.SetsFormed != 1 {
-			t.Errorf("peer %s formed %d lockstep sets, want 1", peer, ls.SetsFormed)
+		m := svcByURL[peer].Metrics()
+		if m.JobsSubmitted != 1 {
+			t.Errorf("peer %s received %d jobs, want 1", peer, m.JobsSubmitted)
 		}
-		if ls.RunsFolded != uint64(want) {
-			t.Errorf("peer %s folded %d runs, want %d", peer, ls.RunsFolded, want)
-		}
-		if ls.TracesSaved != uint64(want-1) {
-			t.Errorf("peer %s saved %d trace traversals, want %d", peer, ls.TracesSaved, want-1)
+		if want := uint64(groupSize[peer]); m.RunsComputed != want {
+			t.Errorf("peer %s computed %d runs, want %d", peer, m.RunsComputed, want)
 		}
 	}
 
@@ -294,9 +290,10 @@ func TestClusterSweepFoldsPerPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, peer := range cc.Peers() {
-		if wire[i].Lockstep != svcByURL[peer].Metrics().Lockstep {
-			t.Errorf("peer %s: /metrics lockstep %+v != service %+v",
-				peer, wire[i].Lockstep, svcByURL[peer].Metrics().Lockstep)
+		m := svcByURL[peer].Metrics()
+		if wire[i].JobsSubmitted != m.JobsSubmitted || wire[i].RunsComputed != m.RunsComputed {
+			t.Errorf("peer %s: /metrics jobs %d, runs %d != service jobs %d, runs %d",
+				peer, wire[i].JobsSubmitted, wire[i].RunsComputed, m.JobsSubmitted, m.RunsComputed)
 		}
 	}
 }

@@ -76,47 +76,20 @@ func run() int {
 		ran = true
 	}
 
-	// Figures 6-9 and the hybrid ablation all replay the base-seed trace.
-	// When more than one is requested, compute them as one fused lockstep
-	// pass per workload (byte-identical to the standalone functions) so
-	// each trace is traversed once for the whole batch.
-	fusedCount := 0
-	for _, f := range []string{"6", "7", "8", "9", "hybrid"} {
-		if all || want[f] {
-			fusedCount++
-		}
-	}
-	var panels figures.Panels
-	if fusedCount > 1 {
-		panels = figures.FusedPanels(p)
-	} else if fusedCount == 1 {
-		switch {
-		case all || want["6"]:
-			panels.Fig6 = figures.Figure6(p)
-		case all || want["7"]:
-			panels.Fig7 = figures.Figure7(p)
-		case all || want["8"]:
-			panels.Fig8 = figures.Figure8(p)
-		case all || want["9"]:
-			panels.Fig9 = figures.Figure9(p)
-		case all || want["hybrid"]:
-			panels.Hybrid = figures.HybridAblation(p)
-		}
-	}
 	if all || want["6"] {
-		fmt.Println(figures.RenderFigure6(panels.Fig6))
+		fmt.Println(figures.RenderFigure6(figures.Figure6(p)))
 		ran = true
 	}
 	if all || want["7"] {
-		fmt.Println(figures.RenderFigure7(panels.Fig7))
+		fmt.Println(figures.RenderFigure7(figures.Figure7(p)))
 		ran = true
 	}
 	if all || want["8"] {
-		fmt.Println(figures.RenderFigure8(panels.Fig8))
+		fmt.Println(figures.RenderFigure8(figures.Figure8(p)))
 		ran = true
 	}
 	if all || want["9"] {
-		fmt.Println(figures.RenderFigure9(panels.Fig9))
+		fmt.Println(figures.RenderFigure9(figures.Figure9(p)))
 		ran = true
 	}
 	if all || want["10"] {
@@ -124,7 +97,7 @@ func run() int {
 		ran = true
 	}
 	if all || want["hybrid"] {
-		fmt.Println(figures.RenderHybrid(panels.Hybrid))
+		fmt.Println(figures.RenderHybrid(figures.HybridAblation(p)))
 		ran = true
 	}
 	if all || want["workloads"] {

@@ -73,7 +73,7 @@ func main() {
 		configPath   = flag.String("config", "", "JSON config file: every flag plus notifier and schedule blocks (explicit flags win; see README \"Config file\")")
 		showVersion  = flag.Bool("version", false, "print version and exit")
 		addr         = flag.String("addr", ":8091", "listen address")
-		workers      = flag.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "concurrent jobs, each computing up to GOMAXPROCS runs at a time (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "max queued jobs before submissions shed with 503")
 		cache        = flag.Int("cache", 256, "result-cache entries (LRU)")
 		traces       = flag.Int("traces", 8, "resident workload traces in the shared arena (LRU; raised to worker count when smaller)")

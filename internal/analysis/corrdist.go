@@ -77,42 +77,16 @@ func (o *corrObserver) compare(g Generation) {
 	o.prior.Put(g.Key, g.Seq)
 }
 
-// CorrDistCollector exposes the Figure 8 study as a lockstep-set lane
-// (see JointCollector): the observer machine replays a shared cursor, and
-// Result flushes the still-open generations before reading.
-type CorrDistCollector struct {
-	obs     *corrObserver
-	m       *sim.Machine
-	flushed bool
-}
-
-// NewCorrDistCollector builds the observer machine for one workload pass.
-func NewCorrDistCollector(sys config.System) *CorrDistCollector {
+// CorrDistances runs the Figure 8 analysis over one block-trace stream,
+// flushing the generations still open at its end.
+func CorrDistances(sys config.System, bs trace.BlockSource) *CorrDist {
 	obs := &corrObserver{
 		tracker: NewGenTracker(),
 		prior:   lru.New[GenKey, []int](1 << 16),
 		res:     &CorrDist{Hist: stats.NewHist(-32, 32)},
 	}
 	obs.tracker.OnEnd = obs.compare
-	return &CorrDistCollector{obs: obs, m: sim.NewMachine(sys, obs)}
-}
-
-// Machine returns the lane machine to replay.
-func (c *CorrDistCollector) Machine() *sim.Machine { return c.m }
-
-// Result flushes open generations (once) and returns the distribution.
-// Call it after the replay finishes.
-func (c *CorrDistCollector) Result() *CorrDist {
-	if !c.flushed {
-		c.obs.tracker.Flush()
-		c.flushed = true
-	}
-	return c.obs.res
-}
-
-// CorrDistances runs the Figure 8 analysis over one block-trace stream.
-func CorrDistances(sys config.System, bs trace.BlockSource) *CorrDist {
-	c := NewCorrDistCollector(sys)
-	c.m.RunBlocks(bs)
-	return c.Result()
+	sim.NewMachine(sys, obs).RunBlocks(bs)
+	obs.tracker.Flush()
+	return obs.res
 }

@@ -85,17 +85,6 @@ func (p Params) traceFor(spec workload.Spec) *trace.BlockTrace {
 	return p.traceAt(spec, p.Seed)
 }
 
-// laneParallelism is the worker bound for a per-workload lockstep set:
-// when workloads already fan out across goroutines each cell's set runs
-// serially; a standalone (non-parallel) figure lets the set use the whole
-// machine instead.
-func (p Params) laneParallelism() int {
-	if p.Parallel {
-		return 1
-	}
-	return 0
-}
-
 // forEachWorkload runs fn over the suite, optionally in parallel,
 // preserving suite order in the output.
 func forEachWorkload[T any](p Params, fn func(spec workload.Spec) T) []T {
@@ -289,24 +278,12 @@ func runOne(p Params, spec workload.Spec, kind sim.Kind, seed int64) sim.Result 
 }
 
 // Figure9 measures covered/uncovered/overpredicted per workload and
-// predictor. Each workload's kind panel replays as one lockstep set over
-// a single shared trace cursor — one traversal for all three predictors,
-// byte-identical to running them alone.
+// predictor, each predictor's machine replaying the workload's trace.
 func Figure9(p Params) []Fig9Row {
 	return forEachWorkload(p, func(spec workload.Spec) Fig9Row {
-		machines := make([]*sim.Machine, len(Fig9Kinds))
-		for i, kind := range Fig9Kinds {
-			machines[i] = buildFigMachine(p, spec, kind)
-		}
-		set := sim.NewSharedSet(p.traceFor(spec).Blocks(), machines...)
-		set.Parallelism = p.laneParallelism()
-		results, err := set.Run(context.Background())
-		if err != nil {
-			panic(err)
-		}
 		row := Fig9Row{Workload: spec.Name}
-		for i, kind := range Fig9Kinds {
-			res := results[i]
+		for _, kind := range Fig9Kinds {
+			res := runOne(p, spec, kind, p.Seed)
 			row.Cells = append(row.Cells, Fig9Cell{
 				Kind:     kind,
 				Coverage: res.Coverage(),
@@ -369,23 +346,16 @@ type Fig10Row struct {
 
 // Figure10 measures performance improvement over the stride-prefetching
 // baseline across seeds (the stand-in for the paper's SimFlex sampling).
-//
-// Each seed's panel — the stride baseline plus every compared kind —
-// replays as one lockstep MachineSet over a single shared trace cursor:
-// the trace is generated once, each block is fetched once and stepped by
-// all four machines while its columns are hot in cache, and the results
-// are byte-identical to the former one-run-per-kind loop (machines share
-// no mutable state; the equivalence suite pins this). Extra
-// confidence-interval seeds never enter the arena at all — their trace
-// lives exactly as long as their set replays, which replaces the
-// generate-then-Drop arena juggling the sequential loop needed to keep
-// peak memory near one trace per worker.
+// Each seed's trace is replayed by the stride baseline and every compared
+// kind, one machine at a time. The base seed's trace comes from the arena
+// and is shared with the other figures; the extra confidence-interval
+// seeds are generated privately and live only while their seed's
+// machines replay them.
 func Figure10(p Params) []Fig10Row {
 	seeds := p.Seeds
 	if seeds <= 0 {
 		seeds = 1
 	}
-	laneParallelism := p.laneParallelism()
 	return forEachWorkload(p, func(spec workload.Spec) Fig10Row {
 		row := Fig10Row{Workload: spec.Name, Speedup: map[sim.Kind]*stats.Sample{}}
 		for _, kind := range Fig10Kinds {
@@ -395,32 +365,14 @@ func Figure10(p Params) []Fig10Row {
 			seed := p.Seed + int64(s)*7919
 			var bt *trace.BlockTrace
 			if seed == p.Seed {
-				// The base seed is shared with every other figure through
-				// the arena.
 				bt = p.traceAt(spec, seed)
 			} else {
 				bt = spec.GenerateBlocks(seed, p.accessesFor(spec))
 			}
-			machines := make([]*sim.Machine, 0, 1+len(Fig10Kinds))
-			for _, kind := range append([]sim.Kind{sim.KindStride}, Fig10Kinds...) {
-				opt := sim.DefaultOptions()
-				opt.System = p.system()
-				opt.Scientific = spec.Scientific
-				m, err := sim.Build(kind, opt)
-				if err != nil {
-					panic(err)
-				}
-				machines = append(machines, m)
-			}
-			set := sim.NewSharedSet(bt.Blocks(), machines...)
-			set.Parallelism = laneParallelism
-			results, err := set.Run(context.Background())
-			if err != nil {
-				panic(err)
-			}
-			base := results[0]
-			for i, kind := range Fig10Kinds {
-				row.Speedup[kind].Add(float64(base.Cycles)/float64(results[i+1].Cycles) - 1)
+			base := buildFigMachine(p, spec, sim.KindStride).RunBlocks(bt.Blocks())
+			for _, kind := range Fig10Kinds {
+				res := buildFigMachine(p, spec, kind).RunBlocks(bt.Blocks())
+				row.Speedup[kind].Add(float64(base.Cycles)/float64(res.Cycles) - 1)
 			}
 		}
 		return row
@@ -479,35 +431,24 @@ func (h HybridRow) Ratio() float64 {
 }
 
 // HybridAblation runs the §5.5 comparison on the commercial workloads
-// (the paper quotes the OLTP/web ratio). The two machines fuse onto one
-// shared cursor per workload.
+// (the paper quotes the OLTP/web ratio).
 func HybridAblation(p Params) []HybridRow {
 	var rows []HybridRow
 	for _, spec := range workload.Suite() {
 		if spec.Class != workload.ClassWeb && spec.Class != workload.ClassOLTP {
 			continue
 		}
-		set := sim.NewSharedSet(p.traceFor(spec).Blocks(),
-			buildFigMachine(p, spec, sim.KindNaiveHybrid),
-			buildFigMachine(p, spec, sim.KindSTeMS))
-		set.Parallelism = p.laneParallelism()
-		results, err := set.Run(context.Background())
-		if err != nil {
-			panic(err)
-		}
-		rows = append(rows, hybridRow(spec, results[0], results[1]))
+		naive := runOne(p, spec, sim.KindNaiveHybrid, p.Seed)
+		st := runOne(p, spec, sim.KindSTeMS, p.Seed)
+		rows = append(rows, HybridRow{
+			Workload:      spec.Name,
+			NaiveOverpred: naive.OverpredictionRate(),
+			STeMSOverpred: st.OverpredictionRate(),
+			NaiveCoverage: naive.Coverage(),
+			STeMSCoverage: st.Coverage(),
+		})
 	}
 	return rows
-}
-
-func hybridRow(spec workload.Spec, naive, st sim.Result) HybridRow {
-	return HybridRow{
-		Workload:      spec.Name,
-		NaiveOverpred: naive.OverpredictionRate(),
-		STeMSOverpred: st.OverpredictionRate(),
-		NaiveCoverage: naive.Coverage(),
-		STeMSCoverage: st.Coverage(),
-	}
 }
 
 // RenderHybrid formats the §5.5 comparison.
@@ -526,104 +467,6 @@ func RenderHybrid(rows []HybridRow) string {
 			sum/float64(len(rows)))
 	}
 	return b.String()
-}
-
-// ---- Fused panels ----
-
-// Panels bundles every figure that replays the base-seed trace: the three
-// analysis studies (Figures 6-8), the Figure 9 predictor panel, and the
-// §5.5 hybrid ablation.
-type Panels struct {
-	Fig6   []Fig6Row
-	Fig7   []Fig7Row
-	Fig8   []Fig8Row
-	Fig9   []Fig9Row
-	Hybrid []HybridRow
-}
-
-// FusedPanels computes all of Panels in one pass over each workload's
-// trace: the three analysis observers, the Figure 9 predictor kinds, and
-// (on commercial workloads) the naive hybrid advance as one lockstep set
-// over a single shared cursor, so a full paper reproduction traverses
-// each trace once instead of once per figure cell. Results are
-// byte-identical to the individual figure functions — observer machines
-// and predictor machines share no mutable state — and the figures test
-// suite pins the equivalence. The hybrid rows reuse the Figure 9 STeMS
-// lane (the two figures build identically configured machines).
-func FusedPanels(p Params) Panels {
-	type row struct {
-		fig6 Fig6Row
-		fig7 Fig7Row
-		fig8 Fig8Row
-		fig9 Fig9Row
-		hyb  *HybridRow
-	}
-	const analysisLanes = 3
-	stemsLane := -1
-	for i, kind := range Fig9Kinds {
-		if kind == sim.KindSTeMS {
-			stemsLane = analysisLanes + i
-		}
-	}
-	rows := forEachWorkload(p, func(spec workload.Spec) row {
-		sys := p.system()
-		joint := analysis.NewJointCollector(sys, config.DefaultSMS())
-		rep := analysis.NewRepetitionCollector(sys)
-		corr := analysis.NewCorrDistCollector(sys)
-		machines := []*sim.Machine{joint.Machine(), rep.Machine(), corr.Machine()}
-		for _, kind := range Fig9Kinds {
-			machines = append(machines, buildFigMachine(p, spec, kind))
-		}
-		commercial := spec.Class == workload.ClassWeb || spec.Class == workload.ClassOLTP
-		naiveLane, hybridSTeMSLane := -1, stemsLane
-		if commercial {
-			naiveLane = len(machines)
-			machines = append(machines, buildFigMachine(p, spec, sim.KindNaiveHybrid))
-			if hybridSTeMSLane < 0 {
-				// Fig9Kinds without STeMS (someone swapped the panel): give
-				// the ablation its own lane rather than skipping the row.
-				hybridSTeMSLane = len(machines)
-				machines = append(machines, buildFigMachine(p, spec, sim.KindSTeMS))
-			}
-		}
-		set := sim.NewSharedSet(p.traceFor(spec).Blocks(), machines...)
-		set.Parallelism = p.laneParallelism()
-		results, err := set.Run(context.Background())
-		if err != nil {
-			panic(err)
-		}
-		out := row{
-			fig6: Fig6Row{Workload: spec.Name, Class: spec.Class, Result: joint.Result()},
-			fig7: Fig7Row{Workload: spec.Name, Rep: rep.Result()},
-			fig8: Fig8Row{Workload: spec.Name, CD: corr.Result()},
-			fig9: Fig9Row{Workload: spec.Name},
-		}
-		for i, kind := range Fig9Kinds {
-			res := results[analysisLanes+i]
-			out.fig9.Cells = append(out.fig9.Cells, Fig9Cell{
-				Kind:     kind,
-				Coverage: res.Coverage(),
-				Overpred: res.OverpredictionRate(),
-				Result:   res,
-			})
-		}
-		if commercial {
-			h := hybridRow(spec, results[naiveLane], results[hybridSTeMSLane])
-			out.hyb = &h
-		}
-		return out
-	})
-	var ps Panels
-	for _, r := range rows {
-		ps.Fig6 = append(ps.Fig6, r.fig6)
-		ps.Fig7 = append(ps.Fig7, r.fig7)
-		ps.Fig8 = append(ps.Fig8, r.fig8)
-		ps.Fig9 = append(ps.Fig9, r.fig9)
-		if r.hyb != nil {
-			ps.Hybrid = append(ps.Hybrid, *r.hyb)
-		}
-	}
-	return ps
 }
 
 // ---- Table 1 ----

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -134,34 +133,6 @@ func TestHybridAblationShape(t *testing.T) {
 	}
 }
 
-// TestFusedPanelsMatchIndividualFigures is the cross-figure equivalence
-// gate: one fused pass per workload (analysis observers + predictor
-// panel + hybrid sharing a single cursor) must reproduce every row the
-// standalone figure functions compute, bit for bit, serial and parallel.
-func TestFusedPanelsMatchIndividualFigures(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		p := tinyParams()
-		p.Accesses = 12_000
-		p.Parallel = parallel
-		got := FusedPanels(p)
-		if !reflect.DeepEqual(got.Fig6, Figure6(p)) {
-			t.Errorf("parallel=%v: fused Figure 6 diverged", parallel)
-		}
-		if !reflect.DeepEqual(got.Fig7, Figure7(p)) {
-			t.Errorf("parallel=%v: fused Figure 7 diverged", parallel)
-		}
-		if !reflect.DeepEqual(got.Fig8, Figure8(p)) {
-			t.Errorf("parallel=%v: fused Figure 8 diverged", parallel)
-		}
-		if !reflect.DeepEqual(got.Fig9, Figure9(p)) {
-			t.Errorf("parallel=%v: fused Figure 9 diverged", parallel)
-		}
-		if !reflect.DeepEqual(got.Hybrid, HybridAblation(p)) {
-			t.Errorf("parallel=%v: fused hybrid ablation diverged", parallel)
-		}
-	}
-}
-
 func TestTable1Render(t *testing.T) {
 	out := RenderTable1()
 	for _, want := range []string{"640.0 KB", "2.5 KB", "1024.0 KB", "Apache"} {
@@ -224,12 +195,11 @@ func TestWorkloadsCharacterization(t *testing.T) {
 }
 
 // TestFigure10GeneratesEachTraceOnce is the trace-economy acceptance
-// check: a full Figure 10 run — 1 baseline + 3 predictor kinds over every
-// workload and seed — replays each seed's panel as one lockstep set over
-// one shared cursor, so only the base-seed traces (shared with the other
-// figures) ever enter the arena. The extra confidence-interval seeds are
-// generated privately, consumed by their set in a single pass, and never
-// become resident anywhere.
+// check: in a full Figure 10 run — 1 baseline + 3 predictor kinds over
+// every workload and seed — only the base-seed traces (shared with the
+// other figures) ever enter the arena. The extra confidence-interval
+// seeds are generated privately, once per seed, replayed by that seed's
+// machines, and never become resident anywhere.
 func TestFigure10GeneratesEachTraceOnce(t *testing.T) {
 	p := DefaultParams()
 	p.Accesses = 5_000
@@ -267,8 +237,8 @@ func TestFullFigureRunSharesBaseTraces(t *testing.T) {
 	Workloads(p)
 	st := p.Arena.Stats()
 	suite := len(workload.Suite())
-	// Base seeds only: Figure 10's extra confidence-interval seeds replay
-	// as arena-bypassing lockstep sets.
+	// Base seeds only: Figure 10's extra confidence-interval seeds
+	// bypass the arena.
 	want := suite
 	if st.Generations != want {
 		t.Fatalf("full figure run generated %d traces, want %d", st.Generations, want)

@@ -330,6 +330,12 @@ func (s *Scheduler) loop() {
 		}
 		s.mu.Unlock()
 		ch := s.clock.After(sleep)
+		if !s.clock.Now().Before(now.Add(sleep)) {
+			// The clock reached the deadline while the timer was being
+			// armed, so the timer would fire a whole sleep late: go
+			// round again now instead.
+			continue
+		}
 		s.parks.Add(1)
 		select {
 		case <-ch:
@@ -338,16 +344,19 @@ func (s *Scheduler) loop() {
 	}
 }
 
-// fireDueLocked submits every schedule whose next fire has arrived and
-// advances its cadence. Holding mu across Submit is deliberate: the
-// completion hook's JobCompleted blocks until the job is recorded in
-// s.jobs, so even a job that finishes instantly attributes to its
-// schedule.
+// fireDueLocked submits every schedule whose next fire has arrived,
+// advances its cadence, and persists the state when any schedule was
+// due. A wake with nothing due writes nothing: the loop goes straight
+// back to sleep. Holding mu across Submit is deliberate: the completion
+// hook's JobCompleted blocks until the job is recorded in s.jobs, so
+// even a job that finishes instantly attributes to its schedule.
 func (s *Scheduler) fireDueLocked(now time.Time) {
+	due := false
 	for _, e := range s.entries {
 		if e.nextFire.IsZero() || e.nextFire.After(now) {
 			continue
 		}
+		due = true
 		id, err := s.cfg.Submit(*e.spec.Job)
 		if err != nil {
 			e.lastErr = err.Error()
@@ -373,7 +382,9 @@ func (s *Scheduler) fireDueLocked(now time.Time) {
 			s.log.Warn("schedule has no future fire; disarmed", "schedule", e.spec.Name, "cron", e.spec.Cron)
 		}
 	}
-	s.persistLocked()
+	if due {
+		s.persistLocked()
+	}
 }
 
 // loadState reads the state file once at startup. Errors only log — a

@@ -420,6 +420,12 @@ func TestSchedulerObsCounters(t *testing.T) {
 	}
 	h.advance(t, time.Minute)
 	waitFire(t, sub)
+	// The submitter sees the fire before the scheduler counts it; both
+	// happen under the scheduler's lock, which Metrics also takes, so
+	// once Metrics reports the fire its counters have moved.
+	if m := h.s.Metrics(); m.Fires != 1 {
+		t.Fatalf("fires = %d, want 1", m.Fires)
+	}
 
 	var b bytes.Buffer
 	reg.WritePrometheus(&b)

@@ -59,24 +59,31 @@ func newResultCache(bound int, disk *store.Store) *resultCache {
 
 // get returns the cached bytes for key, counting a hit or miss. A
 // memory miss falls through to the disk store (when attached); a disk
-// hit re-installs the bytes in the memory tier.
+// hit re-installs the bytes in the memory tier. The disk read runs
+// outside c.mu, so lookups of other keys never wait on disk IO.
 func (c *resultCache) get(key string) ([]byte, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.hits++
 		c.ll.MoveToFront(el)
+		c.mu.Unlock()
 		return el.Value.(*cacheEntry).data, true
 	}
+	c.mu.Unlock()
+	var data []byte
+	ok := false
 	if c.disk != nil {
-		if data, ok := c.disk.Get(key); ok {
-			c.hits++
-			c.installLocked(key, data)
-			return data, true
-		}
+		data, ok = c.disk.Get(key)
 	}
-	c.misses++
-	return nil, false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !ok {
+		c.misses++
+		return nil, false
+	}
+	c.hits++
+	c.installLocked(key, data)
+	return data, true
 }
 
 // claim returns the flight for key and whether the caller is its leader.
@@ -93,34 +100,32 @@ func (c *resultCache) claim(key string) (*flight, bool) {
 	return fl, true
 }
 
-// resolve completes a flight: a successful result is stored in the LRU,
-// a failure only wakes the followers (they recompute independently —
-// e.g. the leader's job was cancelled, which says nothing about the
-// followers' jobs).
+// resolve completes a flight: a successful result is written through to
+// the disk store (when attached) and stored in the LRU, a failure only
+// wakes the followers (they recompute independently — e.g. the leader's
+// job was cancelled, which says nothing about the followers' jobs). The
+// disk write runs outside c.mu while the flight is still registered, so
+// other keys' lookups never wait on it and this key's followers keep
+// waiting instead of recomputing.
 func (c *resultCache) resolve(key string, fl *flight, data []byte, err error) {
+	if err == nil && c.disk != nil {
+		// Best-effort: a full or failing disk degrades the daemon to its
+		// pre-store behaviour (memory-only), it does not fail the job.
+		// The store counts the failure (stemsd_store_put_errors_total).
+		_ = c.disk.Put(key, data)
+	}
 	c.mu.Lock()
 	fl.data, fl.err = data, err
 	delete(c.flights, key)
 	if err == nil {
-		c.storeLocked(key, data)
+		c.installLocked(key, data)
 	}
 	c.mu.Unlock()
 	close(fl.done)
 }
 
-// storeLocked records a freshly computed result in both tiers: the
-// memory LRU and (write-through) the disk store.
-func (c *resultCache) storeLocked(key string, data []byte) {
-	c.installLocked(key, data)
-	if c.disk != nil {
-		// Best-effort: a full or failing disk degrades the daemon to its
-		// pre-store behaviour (memory-only), it does not fail the job.
-		c.disk.Put(key, data) //nolint:errcheck
-	}
-}
-
-// installLocked places bytes in the memory tier only — used for disk
-// hits, where writing back to disk would be a no-op.
+// installLocked places bytes in the memory tier only: disk hits need no
+// write-back, and resolve writes computed results to disk itself.
 func (c *resultCache) installLocked(key string, data []byte) {
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"stems"
@@ -110,6 +111,41 @@ func TestStoreWriteThrough(t *testing.T) {
 	}
 	if got := st.Len(); got != len(specs) {
 		t.Fatalf("store holds %d entries, want %d", got, len(specs))
+	}
+}
+
+// TestStorePutErrorCounted: a disk tier that refuses writes degrades the
+// daemon to memory-only. The job still succeeds, its result is served
+// from the memory tier on resubmit, and the failed write is counted in
+// the store stats and the Prometheus exposition.
+func TestStorePutErrorCounted(t *testing.T) {
+	st := mustStore(t, t.TempDir(), 64)
+	svc := mustNew(t, Config{Workers: 1, QueueBound: 8, Store: st})
+	defer svc.Drain()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	spec := enc.JobSpec{RunSpec: smallRun("em3d", 5_000)}
+	first := waitJob(t, mustSubmit(t, svc, spec))
+	if first.State != enc.JobDone {
+		t.Fatalf("job with a failing store ended %s: %s", first.State, first.Error)
+	}
+	if got := st.Stats().PutErrors; got != 1 {
+		t.Fatalf("store put errors = %d, want 1", got)
+	}
+	var b bytes.Buffer
+	svc.Obs().WritePrometheus(&b)
+	if want := "stemsd_store_put_errors_total 1"; !strings.Contains(b.String(), want) {
+		t.Errorf("prometheus exposition missing %q", want)
+	}
+
+	again := waitJob(t, mustSubmit(t, svc, spec))
+	if again.State != enc.JobDone || again.Progress.CacheHits != 1 {
+		t.Fatalf("resubmit: state %s, cache hits %d; want done from the memory tier", again.State, again.Progress.CacheHits)
+	}
+	if !bytes.Equal(again.Results[0], first.Results[0]) {
+		t.Fatal("memory-tier result differs from the computed one")
 	}
 }
 

@@ -164,10 +164,11 @@ func (j *Job) notifyLocked() {
 	}
 }
 
-// noteProgress is the replay-loop callback target: it publishes new
-// cumulative access counts to subscribers.
-func (j *Job) noteProgress(done uint64) {
-	j.accessesDone.Store(done)
+// noteProgress is the replay-loop callback target: it adds the accesses
+// one run replayed since its last report and pings subscribers. Runs of
+// a job replay concurrently, so only deltas keep the count monotonic.
+func (j *Job) noteProgress(delta uint64) {
+	j.accessesDone.Add(delta)
 	j.mu.Lock()
 	j.notifyLocked()
 	j.mu.Unlock()

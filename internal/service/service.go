@@ -38,8 +38,9 @@ var (
 
 // Config sizes a Service. Zero values select the defaults.
 type Config struct {
-	// Workers is the number of concurrent simulation workers
-	// (default GOMAXPROCS).
+	// Workers is the number of jobs executed concurrently (default
+	// GOMAXPROCS). Each job computes up to GOMAXPROCS of its runs at a
+	// time, so even one worker uses every core.
 	Workers int
 	// QueueBound caps queued-but-unstarted jobs (default 64); beyond it
 	// Submit sheds load with ErrQueueFull.
@@ -179,11 +180,6 @@ type Service struct {
 	jobsCanceled  *obs.Counter
 	runsComputed  *obs.Counter
 	accessesSim   *obs.Counter
-
-	// Run-folding observability (see enc.LockstepMetrics).
-	lockstepSets *obs.Counter
-	runsFolded   *obs.Counter
-	tracesSaved  *obs.Counter
 }
 
 type arenaKey struct {
@@ -254,9 +250,6 @@ func (s *Service) register() {
 	s.jobsCanceled = r.Counter("stemsd_jobs_canceled_total", "Jobs finished in state canceled.")
 	s.runsComputed = r.Counter("stemsd_runs_computed_total", "Runs simulated (not served from any cache tier).")
 	s.accessesSim = r.Counter("stemsd_accesses_simulated_total", "Trace accesses replayed across all runs.")
-	s.lockstepSets = r.Counter("stemsd_lockstep_sets_total", "Lockstep sets executed (two or more folded runs).")
-	s.runsFolded = r.Counter("stemsd_runs_folded_total", "Runs folded into lockstep sets.")
-	s.tracesSaved = r.Counter("stemsd_traces_saved_total", "Whole-trace traversals avoided by fused same-trace sets.")
 
 	r.Gauge("stemsd_uptime_seconds", "Seconds since the service started.",
 		func() float64 { return time.Since(s.start).Seconds() })
@@ -304,6 +297,8 @@ func (s *Service) register() {
 			func() float64 { return float64(st.Stats().Evictions) })
 		r.FuncCounter("stemsd_store_corrupt_dropped_total", "Disk-tier entries dropped on CRC or frame damage.",
 			func() float64 { return float64(st.Stats().CorruptDropped) })
+		r.FuncCounter("stemsd_store_put_errors_total", "Disk-tier writes that failed (the result stays in the memory tier).",
+			func() float64 { return float64(st.Stats().PutErrors) })
 		read, write := st.Latencies()
 		r.AttachHistogram("stemsd_store_read_seconds", "Disk-tier read latency (entry decode included).", read)
 		r.AttachHistogram("stemsd_store_write_seconds", "Disk-tier write latency (fsync-free append).", write)
@@ -342,10 +337,10 @@ func (s *Service) noteAccesses(delta uint64) {
 // arena ahead of simulation so trace resolution (generation, or an
 // arena hit) is timed as its own phase; the Runner's internal arena
 // lookup then finds the trace resident. Lookup errors are ignored here —
-// FromSpec surfaces them at simulate time with full context. A job
+// FromSpec surfaces them at simulate time with full context. A run
 // already canceled skips generation (its Run exits before replaying).
-func (s *Service) resolveTrace(j *Job, name string, seed int64, n int) {
-	if wl, err := stems.WorkloadByName(name); err == nil && j.ctx.Err() == nil {
+func (s *Service) resolveTrace(ctx context.Context, j *Job, name string, seed int64, n int) {
+	if wl, err := stems.WorkloadByName(name); err == nil && ctx.Err() == nil {
 		start := time.Now()
 		s.arena.Get(name, seed, n, func() []stems.Access { return wl.Generate(seed, n) })
 		s.notePhase(j, enc.PhaseResolve, time.Since(start))
@@ -556,11 +551,6 @@ func (s *Service) Metrics() enc.Metrics {
 		TracesResident:    ast.Resident,
 		TraceGenerations:  ast.Generations,
 		TraceHits:         ast.Hits,
-		Lockstep: enc.LockstepMetrics{
-			SetsFormed:  s.lockstepSets.Value(),
-			RunsFolded:  s.runsFolded.Value(),
-			TracesSaved: s.tracesSaved.Value(),
-		},
 	}
 	if total := hits + misses; total > 0 {
 		m.CacheHitRate = float64(hits) / float64(total)
@@ -607,26 +597,12 @@ func (s *Service) Metrics() enc.Metrics {
 	return m
 }
 
-// setResult is one lockstep-set outcome parked until its run slot comes
-// up in job order: the canonical bytes plus whether they came from the
-// cache (for exact hit accounting) or were computed by this job's set.
-type setResult struct {
-	data      []byte
-	fromCache bool
-}
-
-// execute is the worker body: it runs a job's runs in order, consulting
-// the result cache before simulating. Runs that fold are executed as one
-// lockstep MachineSet — one scheduling unit, K predictor states, K
-// individually content-addressed results, byte-identical to running them
-// sequentially. Two shapes fold, members in either needing no adjacency:
-// runs replaying the same (workload, seed, length) trace with any
-// predictors or knobs fuse onto one shared cursor (the sweep-grid shape;
-// each trace is traversed once for the whole group), and runs differing
-// only by seed (and label) advance as a per-lane-cursor seed set. Set
-// results land in computedHere ahead of their run slots and are consumed
-// exactly once, in job order, so the result list the client sees is
-// indistinguishable from sequential execution.
+// execute is the worker body: it computes a job's runs concurrently,
+// GOMAXPROCS at a time, each through runOne's cache and single-flight
+// path, and delivers the relabelled results in job order — a run that
+// finishes early waits in done until every earlier run has been
+// delivered, so clients see the order they submitted. A failing run
+// cancels its siblings and fails the job under its own run index.
 func (s *Service) execute(j *Job) {
 	if !j.begin() {
 		// Cancelled while queued; requestCancel finished it and Cancel
@@ -635,83 +611,66 @@ func (s *Service) execute(j *Job) {
 	}
 	s.notePhase(j, enc.PhaseQueue, time.Since(j.created))
 	s.log.Debug("job started", "job", j.ID, "runs", len(j.runs))
-	computedHere := make(map[string]setResult)
-	for i := range j.runs {
-		if err := j.ctx.Err(); err != nil {
-			j.finish(enc.JobCanceled, err)
-			s.jobsCanceled.Add(1)
-			s.fireDone(j)
-			return
-		}
-		var data []byte
-		var fromCache bool
-		var err error
-		if sr, ok := computedHere[j.runs[i].key]; ok {
-			data, fromCache = sr.data, sr.fromCache
-			delete(computedHere, j.runs[i].key)
-		} else {
-			if g := traceGroup(j.runs, i); len(g) >= 2 {
-				err = s.computeFused(j, g, computedHere)
-			} else if g := cellGroup(j.runs, i); len(g) >= 2 {
-				err = s.computeSet(j, g, computedHere)
-			}
-			if err == nil {
-				if sr, ok := computedHere[j.runs[i].key]; ok {
-					data, fromCache = sr.data, sr.fromCache
-					delete(computedHere, j.runs[i].key)
-				} else {
-					// Not in the cache and led by another job's flight,
-					// or no set formed: the single-run path waits or
-					// computes as before.
-					data, fromCache, err = s.runOne(j, &j.runs[i])
-				}
-			}
-		}
+	type ran struct {
+		data      []byte
+		fromCache bool
+	}
+	var mu sync.Mutex
+	done := make([]*ran, len(j.runs))
+	delivered := 0
+	_, err := par.Map(j.ctx, len(j.runs), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) (struct{}, error) {
+		r := &j.runs[i]
+		data, fromCache, err := s.runOne(ctx, j, r)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				j.finish(enc.JobCanceled, err)
-				s.jobsCanceled.Add(1)
-				s.log.Info("job canceled", "job", j.ID, "runs_done", i)
-			} else {
-				err = fmt.Errorf("run %d (%s/%s): %w",
-					i, j.runs[i].spec.Predictor, j.runs[i].spec.Workload, err)
-				j.finish(enc.JobFailed, err)
-				s.jobsFailed.Add(1)
-				s.log.Warn("job failed", "job", j.ID, "err", err)
+				return struct{}{}, err
 			}
-			s.fireDone(j)
-			return
+			return struct{}{}, fmt.Errorf("run %d (%s/%s): %w", i, r.spec.Predictor, r.spec.Workload, err)
 		}
-		encStart := time.Now()
-		labeled, err := enc.Relabel(data, j.runs[i].spec.Label)
-		s.notePhase(j, enc.PhaseEncode, time.Since(encStart))
-		if err != nil {
-			j.finish(enc.JobFailed, err)
-			s.jobsFailed.Add(1)
-			s.log.Warn("job failed", "job", j.ID, "err", err)
-			s.fireDone(j)
-			return
+		mu.Lock()
+		defer mu.Unlock()
+		done[i] = &ran{data: data, fromCache: fromCache}
+		for ; delivered < len(done) && done[delivered] != nil; delivered++ {
+			next := done[delivered]
+			encStart := time.Now()
+			labeled, err := enc.Relabel(next.data, j.runs[delivered].spec.Label)
+			s.notePhase(j, enc.PhaseEncode, time.Since(encStart))
+			if err != nil {
+				return struct{}{}, err
+			}
+			j.noteRunDone(labeled, j.runs[delivered].n, next.fromCache)
 		}
-		j.noteRunDone(labeled, j.runs[i].n, fromCache)
+		return struct{}{}, nil
+	})
+	switch {
+	case err == nil:
+		j.finish(enc.JobDone, nil)
+		s.jobsCompleted.Add(1)
+		s.log.Info("job done", "job", j.ID, "runs", len(j.runs),
+			"elapsed", time.Since(j.created))
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		j.finish(enc.JobCanceled, err)
+		s.jobsCanceled.Add(1)
+		s.log.Info("job canceled", "job", j.ID, "runs_done", delivered)
+	default:
+		j.finish(enc.JobFailed, err)
+		s.jobsFailed.Add(1)
+		s.log.Warn("job failed", "job", j.ID, "err", err)
 	}
-	j.finish(enc.JobDone, nil)
-	s.jobsCompleted.Add(1)
-	s.log.Info("job done", "job", j.ID, "runs", len(j.runs),
-		"elapsed", time.Since(j.created))
 	s.fireDone(j)
 }
 
 // runOne produces the canonical (label-less) result bytes for one run:
 // from the cache, from another job's in-flight computation, or by
 // simulating. At most one computation per content address runs at a time.
-func (s *Service) runOne(j *Job, r *resolvedRun) (data []byte, fromCache bool, err error) {
+func (s *Service) runOne(ctx context.Context, j *Job, r *resolvedRun) (data []byte, fromCache bool, err error) {
 	for {
 		if data, ok := s.cache.get(r.key); ok {
 			return data, true, nil
 		}
 		fl, leader := s.cache.claim(r.key)
 		if leader {
-			data, err = s.compute(j, r)
+			data, err = s.compute(ctx, j, r)
 			storeStart := time.Now()
 			s.cache.resolve(r.key, fl, data, err)
 			s.notePhase(j, enc.PhaseStore, time.Since(storeStart))
@@ -726,29 +685,28 @@ func (s *Service) runOne(j *Job, r *resolvedRun) (data []byte, fromCache bool, e
 			// The leader failed — most likely its own job was cancelled,
 			// which says nothing about ours. Its flight is gone from the
 			// table; loop to claim leadership and compute independently.
-		case <-j.ctx.Done():
-			return nil, false, j.ctx.Err()
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
 		}
 	}
 }
 
 // compute simulates one run and returns its canonical result bytes.
-func (s *Service) compute(j *Job, r *resolvedRun) ([]byte, error) {
-	base := j.accessesDone.Load()
+func (s *Service) compute(ctx context.Context, j *Job, r *resolvedRun) ([]byte, error) {
 	var prev uint64
 	runner, err := stems.FromSpec(r.spec,
 		stems.WithSharedTrace(s.arena),
 		stems.WithRunProgress(func(done uint64) {
 			s.noteAccesses(done - prev)
+			j.noteProgress(done - prev)
 			prev = done
-			j.noteProgress(base + done)
 		}))
 	if err != nil {
 		return nil, err
 	}
-	s.resolveTrace(j, r.spec.Workload, r.spec.Seed, r.n)
+	s.resolveTrace(ctx, j, r.spec.Workload, r.spec.Seed, r.n)
 	simStart := time.Now()
-	res, err := runner.Run(j.ctx)
+	res, err := runner.Run(ctx)
 	s.notePhase(j, enc.PhaseSimulate, time.Since(simStart))
 	if err != nil {
 		return nil, err
@@ -758,240 +716,6 @@ func (s *Service) compute(j *Job, r *resolvedRun) ([]byte, error) {
 	data, err := json.Marshal(enc.FromResult("", res))
 	s.notePhase(j, enc.PhaseEncode, time.Since(encStart))
 	return data, err
-}
-
-// sameCell reports whether two normalized run specs name the same
-// (workload, knobs) cell — equal in everything but seed and label, the
-// two fields that never change the predictor configuration. Such runs
-// can replay as one lockstep set.
-func sameCell(a, b *enc.RunSpec) bool {
-	if a.Predictor != b.Predictor || a.Workload != b.Workload ||
-		a.Accesses != b.Accesses || a.System != b.System ||
-		len(a.Knobs) != len(b.Knobs) {
-		return false
-	}
-	for name, v := range a.Knobs {
-		if w, ok := b.Knobs[name]; !ok || v != w {
-			return false
-		}
-	}
-	return true
-}
-
-// sameTrace reports whether two resolved runs replay the same generated
-// trace: equal workload, seed, and resolved length. Predictor, knobs,
-// system, and label are all free to differ — a trace is a pure function
-// of its (workload, seed, length) cell, so machines agreeing on the cell
-// can fold onto one shared cursor.
-func sameTrace(a, b *resolvedRun) bool {
-	return a.spec.Workload == b.spec.Workload &&
-		a.spec.Seed == b.spec.Seed &&
-		a.n == b.n
-}
-
-// traceGroup collects, in job order, every run from position i on that
-// replays runs[i]'s trace. Members need not be adjacent — scanning the
-// whole tail is equivalent to stably sorting the job by trace cell before
-// grouping, and the client-visible result order is unchanged because set
-// results are parked in computedHere and consumed at their own slots.
-func traceGroup(runs []resolvedRun, i int) []*resolvedRun {
-	group := []*resolvedRun{&runs[i]}
-	for k := i + 1; k < len(runs); k++ {
-		if sameTrace(&runs[i], &runs[k]) {
-			group = append(group, &runs[k])
-		}
-	}
-	return group
-}
-
-// cellGroup collects, in job order, every run from position i on that
-// shares runs[i]'s cell — same predictor configuration, any seed: the
-// seed-sweep shape computeSet replays as one per-lane-cursor set. Like
-// traceGroup, members need not be adjacent.
-func cellGroup(runs []resolvedRun, i int) []*resolvedRun {
-	group := []*resolvedRun{&runs[i]}
-	for k := i + 1; k < len(runs); k++ {
-		if sameCell(&runs[i].spec, &runs[k].spec) {
-			group = append(group, &runs[k])
-		}
-	}
-	return group
-}
-
-// lane pairs a run this job won cache leadership for with its in-flight
-// claim; claimLanes routes a set's members exactly as runOne would route
-// them — cached results are fetched, keys another job is already
-// computing are left for runOne's flight wait — and returns only the
-// members that become lanes of the lockstep set.
-type lane struct {
-	run *resolvedRun
-	fl  *flight
-}
-
-func (s *Service) claimLanes(group []*resolvedRun, computedHere map[string]setResult) []lane {
-	var lanes []lane
-	for _, r := range group {
-		if _, ok := computedHere[r.key]; ok {
-			continue // an earlier set already produced it; consumed at its slot
-		}
-		if data, ok := s.cache.get(r.key); ok {
-			computedHere[r.key] = setResult{data: data, fromCache: true}
-			continue
-		}
-		fl, leader := s.cache.claim(r.key)
-		if !leader {
-			// Another job (or an earlier duplicate in this group) is
-			// computing this key; runOne waits on the flight at its slot.
-			continue
-		}
-		lanes = append(lanes, lane{run: r, fl: fl})
-	}
-	return lanes
-}
-
-// noteFold records an executed lockstep set of two or more lanes;
-// tracesSaved counts shared-cursor traversals avoided (0 for seed sets,
-// lanes-1 for fused same-trace sets).
-func (s *Service) noteFold(lanes, tracesSaved int) {
-	if lanes < 2 {
-		return
-	}
-	s.lockstepSets.Add(1)
-	s.runsFolded.Add(uint64(lanes))
-	s.tracesSaved.Add(uint64(tracesSaved))
-}
-
-// computeSet executes a same-cell run group as one lockstep seed set.
-// One Runner.RunSeeds call produces every claimed lane's result in a
-// single pass; each result is resolved into the cache under its own
-// content address (single-flight followers across jobs share it) and
-// parked in computedHere for its run slot. Results are byte-identical to
-// sequential computation: lanes share no mutable state, only the
-// schedule.
-func (s *Service) computeSet(j *Job, group []*resolvedRun, computedHere map[string]setResult) error {
-	lanes := s.claimLanes(group, computedHere)
-	if len(lanes) == 0 {
-		return nil
-	}
-
-	seeds := make([]int64, len(lanes))
-	for i := range lanes {
-		seeds[i] = lanes[i].run.spec.Seed
-		s.resolveTrace(j, lanes[i].run.spec.Workload, lanes[i].run.spec.Seed, lanes[i].run.n)
-	}
-
-	base := j.accessesDone.Load()
-	var prev uint64
-	runner, err := stems.FromSpec(lanes[0].run.spec,
-		stems.WithSharedTrace(s.arena),
-		stems.WithRunProgress(func(done uint64) {
-			// RunSeeds serializes progress invocations, so the delta
-			// arithmetic is race-free even with parallel lanes.
-			s.noteAccesses(done - prev)
-			prev = done
-			j.noteProgress(base + done)
-		}))
-	var results []stems.Result
-	if err == nil {
-		simStart := time.Now()
-		results, err = runner.RunSeeds(j.ctx, seeds...)
-		s.notePhase(j, enc.PhaseSimulate, time.Since(simStart))
-	}
-	if err != nil {
-		// Wake followers; they recompute for themselves (the set's
-		// failure — typically this job's cancellation — says nothing
-		// about their jobs).
-		for _, ln := range lanes {
-			s.cache.resolve(ln.run.key, ln.fl, nil, err)
-		}
-		return err
-	}
-	for i, ln := range lanes {
-		encStart := time.Now()
-		data, mErr := json.Marshal(enc.FromResult("", results[i]))
-		s.notePhase(j, enc.PhaseEncode, time.Since(encStart))
-		storeStart := time.Now()
-		s.cache.resolve(ln.run.key, ln.fl, data, mErr)
-		s.notePhase(j, enc.PhaseStore, time.Since(storeStart))
-		if mErr != nil {
-			return mErr
-		}
-		s.runsComputed.Add(1)
-		computedHere[ln.run.key] = setResult{data: data}
-	}
-	s.noteFold(len(lanes), 0)
-	return nil
-}
-
-// computeFused executes a same-trace run group — any mix of predictors,
-// knobs, and systems over one (workload, seed, length) trace — as a
-// single fused lockstep set: the trace is resolved once through the
-// arena, every block is fetched once and stepped through all claimed
-// lanes' machines. Cache routing, single-flight claims, result parking,
-// and byte-identity to sequential computation all work exactly as in
-// computeSet; what this shape additionally saves is lanes-1 whole trace
-// traversals per set.
-func (s *Service) computeFused(j *Job, group []*resolvedRun, computedHere map[string]setResult) error {
-	lanes := s.claimLanes(group, computedHere)
-	if len(lanes) == 0 {
-		return nil
-	}
-
-	s.resolveTrace(j, lanes[0].run.spec.Workload, lanes[0].run.spec.Seed, lanes[0].run.n)
-
-	base := j.accessesDone.Load()
-	var prev uint64
-	k := uint64(len(lanes))
-	runners := make([]*stems.Runner, len(lanes))
-	for i := range lanes {
-		extra := []stems.Option{stems.WithSharedTrace(s.arena)}
-		if i == 0 {
-			// One lane observes progress for the whole set: lanes advance
-			// in lockstep over one cursor, so the set total is the lane
-			// count times any lane's cumulative count. FuseSweep serializes
-			// the callback, keeping the delta arithmetic race-free.
-			extra = append(extra, stems.WithRunProgress(func(done uint64) {
-				s.noteAccesses((done - prev) * k)
-				prev = done
-				j.noteProgress(base + done*k)
-			}))
-		}
-		runner, err := stems.FromSpec(lanes[i].run.spec, extra...)
-		if err != nil {
-			for _, ln := range lanes {
-				s.cache.resolve(ln.run.key, ln.fl, nil, err)
-			}
-			return err
-		}
-		runners[i] = runner
-	}
-	simStart := time.Now()
-	results, err := stems.FuseSweep(j.ctx, runners)
-	s.notePhase(j, enc.PhaseSimulate, time.Since(simStart))
-	if err != nil {
-		// Wake followers; they recompute for themselves (the set's
-		// failure — typically this job's cancellation — says nothing
-		// about their jobs).
-		for _, ln := range lanes {
-			s.cache.resolve(ln.run.key, ln.fl, nil, err)
-		}
-		return err
-	}
-	for i, ln := range lanes {
-		encStart := time.Now()
-		data, mErr := json.Marshal(enc.FromResult("", results[i]))
-		s.notePhase(j, enc.PhaseEncode, time.Since(encStart))
-		storeStart := time.Now()
-		s.cache.resolve(ln.run.key, ln.fl, data, mErr)
-		s.notePhase(j, enc.PhaseStore, time.Since(storeStart))
-		if mErr != nil {
-			return mErr
-		}
-		s.runsComputed.Add(1)
-		computedHere[ln.run.key] = setResult{data: data}
-	}
-	s.noteFold(len(lanes), len(lanes)-1)
-	return nil
 }
 
 // noteArenaUse bumps a trace key to the front of the arena LRU, dropping

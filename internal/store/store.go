@@ -61,6 +61,9 @@ type Stats struct {
 	Misses         uint64
 	Evictions      uint64
 	CorruptDropped uint64
+	// PutErrors counts Put calls that stored nothing: invalid keys, a
+	// closed store, and failed writes.
+	PutErrors uint64
 	// ReadLatency and WriteLatency are the disk I/O distributions: entry
 	// read+verify time (hits only) and entry write+sync+rename time.
 	ReadLatency  obs.Snapshot
@@ -241,25 +244,43 @@ func (s *Store) Contains(key string) bool {
 // a crash at any point leaves either the previous state or the complete
 // entry, never a torn one. Storing an existing key only refreshes its
 // recency — the store is content-addressed, so the bytes are already
-// right.
+// right. The file is written outside the store's lock, so concurrent
+// Puts overlap their syncs and Gets never wait on a write.
 func (s *Store) Put(key string, data []byte) error {
+	err := s.put(key, data)
+	if err != nil {
+		s.mu.Lock()
+		s.stats.PutErrors++
+		s.mu.Unlock()
+	}
+	return err
+}
+
+func (s *Store) put(key string, data []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return ErrClosed
 	}
 	if el, ok := s.entries[key]; ok {
 		s.ll.MoveToFront(el)
+		s.mu.Unlock()
 		return nil
 	}
+	s.mu.Unlock()
 	start := time.Now()
 	err := writeEntry(s.path(key), data)
 	s.writeLat.Observe(time.Since(start))
 	if err != nil {
 		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.entries[key]; ok {
+		return nil // a concurrent Put of the same key indexed it first
 	}
 	s.entries[key] = s.ll.PushFront(&entry{key: key, size: int64(len(data))})
 	s.bytes += int64(len(data))

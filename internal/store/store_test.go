@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -78,10 +79,14 @@ func TestInvalidKeyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"", "short", strings.Repeat("z", 64), strings.Repeat("A", 64), "../../../../etc/passwd"} {
+	bads := []string{"", "short", strings.Repeat("z", 64), strings.Repeat("A", 64), "../../../../etc/passwd"}
+	for _, bad := range bads {
 		if err := s.Put(bad, []byte("x")); err == nil {
 			t.Fatalf("Put(%q) accepted an invalid key", bad)
 		}
+	}
+	if got := s.Stats().PutErrors; got != uint64(len(bads)) {
+		t.Fatalf("PutErrors = %d, want %d", got, len(bads))
 	}
 }
 
@@ -282,8 +287,11 @@ func TestClosed(t *testing.T) {
 	k := key("x")
 	s.Put(k, []byte("x"))
 	s.Close()
-	if err := s.Put(key("y"), []byte("y")); err == nil {
-		t.Fatal("Put after Close succeeded")
+	if err := s.Put(key("y"), []byte("y")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Put after Close: err = %v, want ErrClosed", err)
+	}
+	if got := s.Stats().PutErrors; got != 1 {
+		t.Fatalf("PutErrors = %d, want 1 (the Put after Close)", got)
 	}
 	if _, ok := s.Get(k); ok {
 		t.Fatal("Get after Close hit")

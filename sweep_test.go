@@ -210,13 +210,13 @@ func TestSweepSharedTraceMatchesPerRunGeneration(t *testing.T) {
 		solo[i] = build(nil, mod)
 	}
 
-	// Unfused: every runner resolves the trace itself, so the arena sees
-	// one generation and a hit per remaining grid point.
-	sharedRes, err := stems.Sweep(context.Background(), shared, stems.WithFusion(false))
+	// Every runner resolves the trace itself, so the arena sees one
+	// generation and a hit per remaining grid point.
+	sharedRes, err := stems.Sweep(context.Background(), shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	soloRes, err := stems.Sweep(context.Background(), solo, stems.WithFusion(false))
+	soloRes, err := stems.Sweep(context.Background(), solo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,27 +228,5 @@ func TestSweepSharedTraceMatchesPerRunGeneration(t *testing.T) {
 	}
 	if st := arena.Stats(); st.Generations != 1 || st.Hits != len(mods)-1 {
 		t.Errorf("arena stats = %+v, want 1 generation and %d hits", st, len(mods)-1)
-	}
-
-	// Fused: the whole same-cell grid replays one shared cursor, so only
-	// the group leader touches the arena — still one generation, and now
-	// zero extra resolutions. Results must not move.
-	arena2 := stems.NewArena()
-	fused := make([]*stems.Runner, len(mods))
-	for i, mod := range mods {
-		fused[i] = build(arena2, mod)
-	}
-	fusedRes, err := stems.Sweep(context.Background(), fused)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mods {
-		if fusedRes[i] != soloRes[i] {
-			t.Errorf("point %d: fused result %+v != per-run result %+v",
-				i, fusedRes[i], soloRes[i])
-		}
-	}
-	if st := arena2.Stats(); st.Generations != 1 || st.Hits != 0 {
-		t.Errorf("fused arena stats = %+v, want 1 generation and 0 hits", st)
 	}
 }
